@@ -154,10 +154,17 @@ class ModelPredictiveController:
         solve (shifted one step, per the receding-horizon coherence the
         ``R`` penalty enforces).  For the active-set backend this skips
         the phase-1 feasibility LP — the dominant cost of a cold solve —
-        and seeds the working set; for ADMM it seeds ``x``/``y`` and
-        reuses the cached KKT factorization.  The QP is strictly convex,
-        so warm and cold solves reach the same optimum (within solver
-        tolerance); disable only for benchmarking cold performance.
+        and seeds the working set; when loads moved and no shifted plan
+        is feasible, the previous working set alone still yields the
+        start (the minimiser on that set with the new right-hand sides),
+        so the phase-1 LP runs only on the first solve, after a row-count
+        change, or when that start fails.  For ADMM it seeds ``x``/``y``
+        and reuses the cached KKT factorization.  The QP is strictly
+        convex, so warm and cold solves reach the same optimum (within
+        solver tolerance).  ``False`` means fully cold — every solve
+        starts from a phase-1 LP, as the next one does after
+        :meth:`reset_warm_start`; use it only for benchmarking cold
+        performance.
     certify:
         Check a KKT optimality certificate on every (non-softened) QP
         solution via :func:`repro.verify.check_kkt_qp`.  Failures are
@@ -223,6 +230,8 @@ class ModelPredictiveController:
             # from-scratch refactorizations vs dense fallback steps.
             "kkt_updates": 0, "kkt_refactorizations": 0,
             "kkt_dense_steps": 0, "admm_reduced_solves": 0,
+            # active-set solves whose start came from a phase-1 LP
+            "phase1_solves": 0,
             "certificates_checked": 0, "certificate_failures": 0,
         }
         self._qp_quad = None         # (Theta id, 2Θ'Q, P) objective cache
@@ -564,7 +573,7 @@ class ModelPredictiveController:
         self.stats["qp_solves"] += 1
         self.stats["qp_iterations"] += res.iterations
         for key in ("kkt_updates", "kkt_refactorizations",
-                    "kkt_dense_steps"):
+                    "kkt_dense_steps", "phase1_solves"):
             self.stats[key] += int(res.meta.get(key, 0))
         if res.meta.get("kkt_method") == "reduced":
             self.stats["admm_reduced_solves"] += 1
@@ -621,7 +630,10 @@ class ModelPredictiveController:
         unshifted previous ΔU, and zero increments (feasible whenever
         ``u_prev`` itself still satisfies the per-step constraints).  The
         first feasible candidate is returned together with the previous
-        working set (active set) / constraint dual (ADMM).
+        working set (active set) / constraint dual (ADMM).  When none is
+        feasible (loads moved, so the conservation rows changed) the
+        working set alone is returned: the active-set solver builds its
+        start from it instead of running a phase-1 LP.
 
         The stored working set and dual index *rows* of the stacked
         constraints, so they are only meaningful while the row counts are
@@ -655,7 +667,9 @@ class ModelPredictiveController:
                 self.stats["warm_start_hits"] += 1
                 return cand, working_set, y
         self.stats["warm_start_misses"] += 1
-        return None, None, None
+        # No primal candidate, but the working set still seeds the
+        # active-set start (see ``solve_qp``'s ``working_set0``).
+        return None, working_set, None
 
     @staticmethod
     def _point_feasible(x, A_eq, b_eq, A_in, b_in,

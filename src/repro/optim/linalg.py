@@ -303,17 +303,37 @@ class IncrementalKKT:
         of ``P``, and the refinement restores dense-KKT-level accuracy on
         the ill-scaled Hessians the softened MPC produces.
         """
+        return self._solve_kkt(g, None)
+
+    def equality_point(self, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Minimiser of ``0.5 xᵀPx + qᵀx`` subject to ``A_w x = b``.
+
+        The same range-space solve as :meth:`step` with a nonzero
+        right-hand side: ``h = −P⁻¹q``, ``S λ = A_w h − b``,
+        ``x = h − P⁻¹A_wᵀ λ``, then one refinement pass — O(n²) on the
+        current factors.  The active-set QP uses it to turn a previous
+        optimal working set into a start point once the right-hand sides
+        have moved.
+        """
+        return self._solve_kkt(q, np.asarray(b, dtype=float))[0]
+
+    def _solve_kkt(self, g: np.ndarray, b: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Solve ``P x + A_wᵀλ = −g``, ``A_w x = b`` (``b = 0`` when None)."""
         g = np.asarray(g, dtype=float)
         h = self._Pfac.solve(-g)
         if self.n_rows == 0:
             return h, np.empty(0)
         A, B = self._rows, self._B
-        lam = self._S.solve(A @ h)
+        Ah = A @ h
+        lam = self._S.solve(Ah if b is None else Ah - b)
         p = h - B @ lam
-        # Refinement: residuals of  P p + Aᵀλ = −g,  A p = 0.
+        # Refinement: residuals of  P p + Aᵀλ = −g,  A p = b.
         Pp = self._Pfac.L @ (self._Pfac.L.T @ p)
         res1 = Pp + g + A.T @ lam
         res2 = A @ p
+        if b is not None:
+            res2 = res2 - b
         h2 = self._Pfac.solve(-res1)
         dlam = self._S.solve(A @ h2 + res2)
         p = p + h2 - B @ dlam
@@ -332,6 +352,12 @@ class KKTFactorCache:
     factorization work at all, only O(n²) updates when the active set
     actually drifts.  Matrices are compared by value (O(n²) — negligible
     against refactorization), so callers need not track identity.
+
+    A hit hands the factored object over to the caller and empties the
+    cache until the next :meth:`store`: the solver mutates the factors as
+    its working set moves, so a solve that ends without storing (an
+    exception, a degenerate final working set) must not leave factors
+    behind whose rows no longer match the cached row key.
     """
 
     def __init__(self) -> None:
@@ -345,7 +371,7 @@ class KKTFactorCache:
 
     def lookup(self, P: np.ndarray, A_eq: np.ndarray, A_ineq: np.ndarray
                ) -> tuple[IncrementalKKT, tuple] | None:
-        """Return ``(kkt, rows_key)`` when the problem matrices match."""
+        """Take ``(kkt, rows_key)`` out when the problem matrices match."""
         if (self._kkt is not None
                 and self._P.shape == P.shape and np.array_equal(self._P, P)
                 and self._A_eq.shape == A_eq.shape
@@ -353,7 +379,8 @@ class KKTFactorCache:
                 and self._A_ineq.shape == A_ineq.shape
                 and np.array_equal(self._A_ineq, A_ineq)):
             self.hits += 1
-            return self._kkt, self._rows_key
+            kkt, self._kkt = self._kkt, None
+            return kkt, self._rows_key
         self.misses += 1
         return None
 

@@ -16,8 +16,9 @@ equalities (eq. 45) with the latency and nonnegativity inequalities
 The algorithm is the textbook primal active-set method (Nocedal & Wright,
 Algorithm 16.3):
 
-1. find a feasible start via a phase-1 LP (reusing the package's own
-   simplex solver),
+1. find a feasible start: the caller's ``x0``, else the minimiser on a
+   previous working set with the new right-hand sides, else a phase-1 LP
+   (reusing the package's own simplex solver),
 2. at each iteration solve the equality-constrained subproblem restricted
    to the working set through the KKT system,
 3. either take a (possibly blocked) step and add the blocking constraint,
@@ -31,7 +32,7 @@ enter and leave, instead of re-solving a dense (n+m)×(n+m) KKT system per
 iteration.  Degenerate working sets (dependent rows) fall back to the
 dense least-squares KKT step; ``OptimizeResult.meta`` reports
 ``kkt_updates`` / ``kkt_refactorizations`` / ``kkt_dense_steps`` so the
-incremental path is observable.
+incremental path is observable, and ``phase1_solves`` so the start is.
 """
 
 from __future__ import annotations
@@ -95,6 +96,66 @@ def _kkt_step_dense(P: np.ndarray, g: np.ndarray, A_w: np.ndarray) -> tuple[np.n
     return sol[:n], sol[n:]
 
 
+#: Solves one seed of the working-set start may spend before it is given
+#: up (see :func:`_working_set_start`).
+_WS_START_ROUNDS = 4
+
+
+def _working_set_start(kkt: IncrementalKKT, kkt_rows: list | None,
+                       working_set0, q, A_eq, b_eq, A_ineq, b_ineq,
+                       feasible) -> tuple[np.ndarray | None, list | None]:
+    """Feasible start from a previous working set, without a phase-1 LP.
+
+    When only right-hand sides moved since the solve that produced
+    ``working_set0``, that working set is usually still optimal, so the
+    minimiser on the equalities plus those rows, with the new right-hand
+    sides, is feasible.  Rows it violates are activated (an O(n²)
+    bordered extension each) and the point re-solved, for at most
+    ``_WS_START_ROUNDS`` solves.  A seed fails when its set would exceed
+    ``n`` rows, a row is dependent, or violations outlast the rounds;
+    then the equalities alone are tried as the seed the same way (a
+    stale set whose rows pin the point against a dependent row is the
+    common failure, and the bare equality minimiser avoids it).
+    ``kkt_rows`` names the inequality rows ``kkt`` already holds; when
+    they are the seed set, no factorization is done at all.
+
+    Returns ``(x, rows)``: a point passing ``feasible``, or None; and the
+    ordered inequality rows ``kkt`` now holds, or None when unknown.
+    """
+    n, m_eq, m_ineq = q.size, A_eq.shape[0], A_ineq.shape[0]
+    previous = sorted({int(i) for i in working_set0 if 0 <= int(i) < m_ineq})
+    for rows in ((previous, []) if previous else ([],)):
+        if m_eq + len(rows) > n:
+            continue
+        try:
+            if kkt_rows is not None and set(kkt_rows) == set(rows):
+                rows = list(kkt_rows)
+            else:
+                kkt_rows = None
+                kkt.set_rows(np.vstack([A_eq, A_ineq[rows]]))
+            kkt_rows = rows
+            for _ in range(_WS_START_ROUNDS):
+                x = kkt.equality_point(
+                    q, np.concatenate([b_eq, b_ineq[rows]]))
+                held = set(rows)
+                over = np.flatnonzero(A_ineq @ x - b_ineq > 1e-7).tolist()
+                violated = [i for i in over if i not in held]
+                if not violated:
+                    if feasible(x):
+                        return x, rows
+                    break
+                if m_eq + len(rows) + len(violated) > n:
+                    break
+                for i in violated:
+                    kkt.add_row(A_ineq[i])
+                    rows.append(i)
+        except FactorizationError:
+            # A failed extension or condition-guard rebuild can leave the
+            # factors out of step with ``rows``: report them unknown.
+            kkt_rows = None
+    return None, kkt_rows
+
+
 def solve_qp(P, q, A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
              x0=None, working_set0=None, max_iter: int = 500,
              kkt_cache: KKTFactorCache | None = None,
@@ -110,17 +171,28 @@ def solve_qp(P, q, A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
     A_eq, b_eq, A_ineq, b_ineq:
         Optional equality and ``<=`` inequality constraints.
     x0:
-        Optional feasible starting point.  When omitted (or infeasible) a
-        phase-1 LP provides one.  A feasible ``x0`` skips the phase-1 LP
-        entirely, which is the dominant cost of a cold solve — receding-
-        horizon callers should pass the previous period's solution.
+        Optional feasible starting point.  A feasible ``x0`` skips the
+        phase-1 LP entirely, which is the dominant cost of a cold solve —
+        receding-horizon callers should pass the previous period's
+        solution.  When omitted (or infeasible) the start comes from
+        ``working_set0`` if given (below), else from a phase-1 LP.
     working_set0:
         Optional iterable of inequality indices to seed the working set
         with (e.g. the ``working_set`` of the previous, nearby solve).
         Indices not tight at the starting point are silently dropped, so a
         stale set degrades gracefully.  Without it the solver activates
         *every* tight constraint, which on degenerate vertices means extra
-        drop iterations.
+        drop iterations.  Without a feasible ``x0`` it also supplies the
+        start: the minimiser on the equalities plus these rows, with the
+        current right-hand sides, computed on the KKT factors in O(n²) —
+        the common case when only loads moved since the previous solve.
+        Rows that point violates are activated and the point re-solved,
+        a few rounds at most; the point is accepted only if it passes
+        the same 1e-7 feasibility check as ``x0``, and the working set
+        then starts as the activated rows that are tight there.
+        Otherwise (dependent rows, more than ``n`` rows, violations left)
+        the phase-1 LP runs as without ``working_set0``.
+        ``meta["phase1_solves"]`` says whether a phase-1 LP ran (0 or 1).
     max_iter:
         Bound on working-set changes.
     kkt_cache:
@@ -173,15 +245,49 @@ def solve_qp(P, q, A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
         ok_in = A_ineq.size == 0 or np.all(A_ineq @ x - b_ineq <= 1e-7)
         return ok_eq and ok_in
 
+    x = None
     if x0 is not None:
         x = np.asarray(x0, dtype=float).ravel().copy()
         if not _feasible(x):
-            x = find_feasible_point(n, A_eq, b_eq, A_ineq, b_ineq)
+            x = None
+    elif A_eq.size == 0 and m_ineq == 0:
+        x = np.linalg.solve(P, -q)
+        return OptimizeResult(x=x, fun=float(0.5 * x @ P @ x + q @ x),
+                              status=Status.OPTIMAL, iterations=0)
+    m_eq = A_eq.shape[0]
+
+    # Incremental KKT state.  ``kkt_rows`` is the ordered list of
+    # inequality rows the factors currently hold (after the equalities),
+    # or None when unknown.  ``kkt_ok`` is False while the working set is
+    # degenerate (dependent rows) or P is not SPD; then the dense
+    # least-squares step is used until a working-set change lets the
+    # factorization be rebuilt.
+    dense_steps = 0
+    kkt = None
+    kkt_rows = None
+    cached = kkt_cache.lookup(P, A_eq, A_ineq) if kkt_cache is not None \
+        else None
+    if cached is not None:
+        kkt, key = cached
+        kkt_rows = list(key)
     else:
-        if A_eq.size == 0 and m_ineq == 0:
-            x = np.linalg.solve(P, -q)
-            return OptimizeResult(x=x, fun=float(0.5 * x @ P @ x + q @ x),
-                                  status=Status.OPTIMAL, iterations=0)
+        try:
+            kkt = IncrementalKKT(P)
+        except FactorizationError:
+            kkt = None
+    updates0 = kkt.updates if kkt is not None else 0
+    refactor0 = kkt.refactorizations if kkt is not None else 0
+
+    phase1_solves = 0
+    seed = working_set0
+    if x is None and working_set0 is not None and kkt is not None:
+        x, kkt_rows = _working_set_start(
+            kkt, kkt_rows, working_set0, q, A_eq, b_eq, A_ineq, b_ineq,
+            _feasible)
+        if x is not None:
+            seed = kkt_rows
+    if x is None:
+        phase1_solves = 1
         x = find_feasible_point(n, A_eq, b_eq, A_ineq, b_ineq)
 
     # Working set holds indices into the inequality rows; equalities are
@@ -190,44 +296,27 @@ def solve_qp(P, q, A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
     # position, so positions must stay stable across changes.
     slack = b_ineq - A_ineq @ x if m_ineq else np.empty(0)
     tight = set(np.flatnonzero(slack <= 1e-8).tolist())
-    if working_set0 is not None:
-        # Seed from the caller's set, but only constraints actually tight
-        # at the start are admissible working constraints.
-        working = {int(i) for i in working_set0} & tight
+    if seed is not None:
+        # Seed from the caller's set (or the working-set start's), but
+        # only constraints actually tight at the start are admissible
+        # working constraints.
+        working = {int(i) for i in seed} & tight
     else:
         working = tight
     order = sorted(working)
-    m_eq = A_eq.shape[0]
 
     def current_rows() -> np.ndarray:
         if not (A_eq.size or order):
             return np.zeros((0, n))
         return np.vstack([A_eq] + [A_ineq[i:i + 1] for i in order])
 
-    # Incremental KKT state.  ``kkt_ok`` is False while the working set is
-    # degenerate (dependent rows) or P is not SPD; then the dense
-    # least-squares step is used until a working-set change lets the
-    # factorization be rebuilt.
-    dense_steps = 0
-    kkt = None
     kkt_ok = False
-    cached = kkt_cache.lookup(P, A_eq, A_ineq) if kkt_cache is not None \
-        else None
-    if cached is not None:
-        kkt, cached_key = cached
-        if set(cached_key) == working:
-            # Same active set as the cached final state: adopt its row
-            # order and start from the already-factored KKT — zero
-            # factorization work on this solve.
-            order = list(cached_key)
-            kkt_ok = True
-    if kkt is None:
-        try:
-            kkt = IncrementalKKT(P)
-        except FactorizationError:
-            kkt = None
-    updates0 = kkt.updates if kkt is not None else 0
-    refactor0 = kkt.refactorizations if kkt is not None else 0
+    if kkt_rows is not None and set(kkt_rows) == working:
+        # The factors already hold this working set (the cached final
+        # state of the previous solve, or the working-set start built
+        # just above): adopt their row order — no factorization work.
+        order = list(kkt_rows)
+        kkt_ok = True
     if kkt is not None and not kkt_ok:
         try:
             kkt.set_rows(current_rows())
@@ -269,6 +358,7 @@ def solve_qp(P, q, A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
                     (kkt.refactorizations - refactor0)
                     if kkt is not None else 0,
                 "kkt_dense_steps": dense_steps,
+                "phase1_solves": phase1_solves,
                 "solve_seconds": time.monotonic() - t_start,
             },
         )

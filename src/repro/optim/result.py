@@ -52,7 +52,8 @@ class OptimizeResult:
         Human-readable diagnostic.
     meta:
         Solver-specific diagnostics (e.g. the QP kernels report
-        ``kkt_updates`` / ``kkt_refactorizations`` / ``kkt_dense_steps``,
+        ``kkt_updates`` / ``kkt_refactorizations`` / ``kkt_dense_steps``
+        and ``phase1_solves``,
         the ADMM solver its KKT method, the simplex its
         ``phase1_iterations`` / ``phase2_iterations`` split).  Always a
         plain dict of scalars, safe to fold into

@@ -13,7 +13,8 @@ per closed-loop run:
   engagement, and the linear-algebra kernel counters forwarded from the
   MPC layer (``kkt_updates`` / ``kkt_refactorizations`` /
   ``kkt_dense_steps`` / ``admm_reduced_solves`` — see
-  :mod:`repro.optim.linalg`),
+  :mod:`repro.optim.linalg` — and ``phase1_solves``, the active-set
+  solves that had to start from a phase-1 LP),
 
 so benchmarks can assert *cache effectiveness*, not just speed.  The
 object is a plain-data container (picklable — results cross process

@@ -7,7 +7,9 @@ captured :class:`~repro.verify.problems.QPProblem` or
 
 1. solves it with **every** in-house backend — the active-set QP cold,
    the active-set QP warm-started from its own solution (exercising the
-   incremental-KKT reuse path), ADMM with the dense KKT and ADMM with
+   incremental-KKT reuse path), the active-set QP given only its own
+   working set (exercising the working-set start that replaces the
+   phase-1 LP), ADMM with the dense KKT and ADMM with
    the reduced Schur-complement KKT; for LPs the two-phase revised
    simplex,
 2. solves it with an **external reference** — ``scipy.optimize.linprog``
@@ -44,7 +46,8 @@ __all__ = ["BackendRun", "OracleReport", "cross_check_qp", "cross_check_lp",
            "cross_check"]
 
 #: In-house QP backends exercised by :func:`cross_check_qp`.
-QP_BACKENDS = ("active_set", "active_set_warm", "admm_dense", "admm_reduced")
+QP_BACKENDS = ("active_set", "active_set_warm", "active_set_ws",
+               "admm_dense", "admm_reduced")
 
 
 @dataclass
@@ -239,6 +242,22 @@ def cross_check_qp(problem: QPProblem, obj_tol: float = 1e-4,
                  x=warm.x, certificate=cert)
         except (ConvergenceError, InfeasibleProblemError) as exc:
             _add("active_set_warm", error=f"{type(exc).__name__}: {exc}")
+
+    # -- active-set, started from its own working set alone ----------------
+    # No x0: the start comes from the working set (or, failing that, the
+    # phase-1 LP), the path a receding-horizon solve takes once loads move.
+    if cold is not None:
+        try:
+            ws = solve_qp(p.P, p.q, A_eq=p.A_eq, b_eq=p.b_eq,
+                          A_ineq=p.A_ineq, b_ineq=p.b_ineq,
+                          working_set0=cold.working_set)
+            cert = check_kkt_qp(p.P, p.q, ws.x, p.A_eq, p.b_eq,
+                                p.A_ineq, p.b_ineq, dual_eq=ws.dual_eq,
+                                dual_ineq=ws.dual_ineq, tol=cert_tol)
+            _add("active_set_ws", status=ws.status, objective=ws.fun,
+                 x=ws.x, certificate=cert)
+        except (ConvergenceError, InfeasibleProblemError) as exc:
+            _add("active_set_ws", error=f"{type(exc).__name__}: {exc}")
 
     # -- ADMM, dense and reduced KKT ---------------------------------------
     A, low, high = boxed_constraints(p.n, p.A_eq, p.b_eq, p.A_ineq, p.b_ineq)

@@ -45,6 +45,7 @@ from repro.sim import (
     run_simulation,
 )
 from repro.verify import InvariantMonitor
+from repro.workload import PortalSet, PortalWorkload, epa_like_trace
 from repro.workload.predictor import ARWorkloadPredictor
 
 
@@ -52,6 +53,19 @@ def _short_scenario(duration=600.0, faults=None):
     sc = paper_scenario(dt=60.0, duration=duration, start_hour=12.0)
     if faults is not None:
         sc = sc.__class__(**{**sc.__dict__, "faults": faults(sc.start_time)})
+    return sc
+
+
+def _moving_load_scenario():
+    """An hour at Ts = 300 s whose portal loads follow an EPA-like day."""
+    sc = paper_scenario(dt=300.0, duration=3600.0, start_hour=6.0)
+    portals = sc.cluster.portals
+    first = 6 * 12  # 06:00 in the trace's 5-minute samples
+    shape = epa_like_trace()[first:first + sc.n_periods]
+    loads = 0.6 * np.outer(shape / shape.mean(), portals.loads_at(0))
+    sc.cluster.portals = PortalSet(portals=[
+        PortalWorkload(name=name, trace=loads[:, i])
+        for i, name in enumerate(portals.names)])
     return sc
 
 
@@ -422,6 +436,37 @@ class TestCrashResume:
                                           baseline.servers)
             np.testing.assert_array_equal(resumed.powers_watts,
                                           baseline.powers_watts)
+            np.testing.assert_array_equal(resumed.allocations,
+                                          baseline.allocations)
+            np.testing.assert_array_equal(resumed.cost_usd,
+                                          baseline.cost_usd)
+
+    def test_kill_at_every_period_with_moving_loads(self, tmp_path):
+        """Same sweep under loads that change every period.
+
+        Constant loads keep the shifted plan feasible, so the sweep above
+        never starts a QP from the working set alone.  Here every period
+        after the first does, and the resumed runs must still match bit
+        for bit: the start depends only on checkpointed warm state.
+        """
+        baseline = run_simulation(_moving_load_scenario(),
+                                  _mpc(_moving_load_scenario()))
+        counters = baseline.perf["counters"]
+        n = _moving_load_scenario().n_periods
+        assert counters["warm_start_misses"] == n - 1
+        assert counters["phase1_solves"] == 1
+        for crash_at in range(1, n):
+            wal = str(tmp_path / f"moving{crash_at}.wal")
+            sc = _moving_load_scenario()
+            with pytest.raises(SimulatedCrashError):
+                run_simulation(
+                    sc, CrashInjector(_mpc(sc), crash_at),
+                    wal_path=wal, checkpoint_every=2)
+            sc2 = _moving_load_scenario()
+            resumed = run_simulation(sc2, _mpc(sc2), resume_from=wal)
+            assert resumed.perf["counters"]["wal_tail_mismatches"] == 0
+            np.testing.assert_array_equal(resumed.servers,
+                                          baseline.servers)
             np.testing.assert_array_equal(resumed.allocations,
                                           baseline.allocations)
             np.testing.assert_array_equal(resumed.cost_usd,

@@ -135,6 +135,31 @@ class TestIncrementalKKT:
         np.testing.assert_allclose(p, p_ref, atol=1e-8)
         np.testing.assert_allclose(lam, lam_ref, atol=1e-8)
 
+    def test_equality_point_matches_dense_kkt(self):
+        # argmin 0.5 x'Px + q'x  s.t.  A x = b, after incremental changes
+        rng = np.random.default_rng(17)
+        P = random_spd(8, rng)
+        A = rng.standard_normal((4, 8))
+        q, b = rng.standard_normal(8), rng.standard_normal(4)
+        kkt = IncrementalKKT(P)
+        kkt.set_rows(A[:2])
+        kkt.add_row(A[3])
+        kkt.add_row(A[2])
+        kkt.remove_row(2)
+        kkt.add_row(A[3])
+        x = kkt.equality_point(q, b[[0, 1, 2, 3]])
+        K = np.block([[P, A.T], [A, np.zeros((4, 4))]])
+        x_ref = np.linalg.solve(K, np.concatenate([-q, b]))[:8]
+        np.testing.assert_allclose(x, x_ref, atol=1e-10)
+        np.testing.assert_allclose(A @ x, b, atol=1e-12)
+
+    def test_equality_point_without_rows_is_unconstrained_minimiser(self):
+        rng = np.random.default_rng(18)
+        P = random_spd(5, rng)
+        q = rng.standard_normal(5)
+        x = IncrementalKKT(P).equality_point(q, np.zeros(0))
+        np.testing.assert_allclose(x, np.linalg.solve(P, -q), atol=1e-10)
+
     def test_unconstrained_step(self):
         rng = np.random.default_rng(8)
         P = random_spd(5, rng)
@@ -203,6 +228,20 @@ class TestKKTFactorCache:
         assert got is not None and got[0] is kkt and got[1] == (0, 1)
         assert cache.lookup(P + 1e-9, A_eq, A_in) is None
         assert (cache.hits, cache.misses) == (1, 2)
+
+    def test_hit_hands_the_factors_over(self):
+        # A solve mutates the factors it took; until it stores them back
+        # (with their new row key) the cache must not offer them again.
+        rng = np.random.default_rng(14)
+        P = random_spd(3, rng)
+        A = np.zeros((0, 3))
+        cache = KKTFactorCache()
+        kkt = IncrementalKKT(P)
+        cache.store(P, A, A, kkt, rows_key=())
+        assert cache.lookup(P, A, A)[0] is kkt
+        assert cache.lookup(P, A, A) is None
+        cache.store(P, A, A, kkt, rows_key=())
+        assert cache.lookup(P, A, A)[0] is kkt
 
     def test_store_copies_matrices(self):
         rng = np.random.default_rng(13)
